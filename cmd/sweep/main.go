@@ -60,8 +60,7 @@ func main() {
 	bufs := flag.String("bufs", "4", "comma-separated flit buffers per VC")
 	pktSizes := flag.String("packetsize", "5", "comma-separated packet sizes (flits)")
 	creditDelays := flag.String("credit-delays", "1", "comma-separated credit propagation delays (cycles)")
-	stepWorkers := flag.String("step-workers", "0", "comma-separated parallel-stepper worker counts (0/1 = serial engine; results are identical for every value)")
-	shards := flag.String("shards", "0", "comma-separated lookahead-shard counts (0/1 = single-range engine; results are identical for every value)")
+	shards := flag.String("shards", "0", "comma-separated shard counts (0/1 = one shard, stepped inline; results are identical for every value)")
 	sources := flag.String("sources", "", "comma-separated injection processes: const, bernoulli, mmpp:on=X,off=Y, batch:size=N, trace:file=PATH (empty = const; a bare KEY=VALUE fragment continues the previous spec)")
 	sizes := flag.String("sizes", "", "comma-separated packet-size distributions: fixed:N, uniform:min=A,max=B, bimodal:small=S,large=L,p=P (empty = every packet is -packetsize flits)")
 	overrides := flag.String("overrides", "", "'|'-separated per-router override specs, each ';'-separated SEL:k=v groups, e.g. '0:vcs=4,buf=8;3-5:delay=2|*:buf=2' (empty list entry = uniform network)")
@@ -111,7 +110,7 @@ func main() {
 		matrixOnly := map[string]bool{
 			"routers": true, "topos": true, "k": true, "patterns": true,
 			"vcs": true, "bufs": true, "packetsize": true, "credit-delays": true,
-			"step-workers": true, "shards": true, "sources": true, "sizes": true, "overrides": true,
+			"shards": true, "sources": true, "sizes": true, "overrides": true,
 			"routing": true, "faults": true,
 			"loads": true, "warmup": true, "packets": true,
 			"workers": true, "json": true, "quiet": true,
@@ -136,7 +135,6 @@ func main() {
 		BufsPerVC:    parseInts("bufs", *bufs),
 		PacketSizes:  parseInts("packetsize", *pktSizes),
 		CreditDelays: parseInts("credit-delays", *creditDelays),
-		StepWorkers:  parseInts("step-workers", *stepWorkers),
 		Shards:       parseInts("shards", *shards),
 		Sources:      splitWorkloadList(*sources),
 		Sizes:        splitWorkloadList(*sizes),
@@ -183,8 +181,7 @@ func main() {
 	// the rest of the matrix. Failures are summarized on stderr below.
 	requested := len(matrix.Routers) * len(matrix.Topologies) * len(matrix.Ks) *
 		len(matrix.Patterns) * len(matrix.VCs) * len(matrix.BufsPerVC) *
-		len(matrix.PacketSizes) * len(matrix.CreditDelays) * len(matrix.StepWorkers) *
-		len(matrix.Shards) *
+		len(matrix.PacketSizes) * len(matrix.CreditDelays) * len(matrix.Shards) *
 		axisLen(matrix.Sources) * axisLen(matrix.Sizes) * axisLen(matrix.Overrides) *
 		axisLen(matrix.Routings) * axisLen(matrix.Faults) *
 		len(matrix.Loads)

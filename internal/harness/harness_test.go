@@ -414,3 +414,45 @@ func TestCSVEscape(t *testing.T) {
 		}
 	}
 }
+
+// TestSimConfigRejectsVCAllocatorOverflow: scenarios whose routers
+// would have more than 64 input VCs (ports × VCs) for the VC
+// allocator's arbiters are errors at SimConfig, before any job runs;
+// they used to panic inside the network build.
+func TestSimConfigRejectsVCAllocatorOverflow(t *testing.T) {
+	cases := []struct {
+		name string
+		sc   Scenario
+	}{
+		{"mesh-vcs16", Scenario{Router: "spec-vc", VCs: 16, Load: 0.1}},
+		{"ring8-vcs64", Scenario{Router: "spec-vc", Topology: "ring:8", VCs: 64, Load: 0.1}},
+		{"override-vcs40", Scenario{Router: "spec-vc", Overrides: "0:vcs=40", Load: 0.1}},
+		{"hypercube1024-vcs8", Scenario{Router: "spec-vc", Topology: "hypercube:1024", VCs: 8, Load: 0.1}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := tc.sc.SimConfig(1, Protocol{Warmup: 1, Packets: 1})
+			if err == nil || !strings.Contains(err.Error(), "at most 64") {
+				t.Fatalf("SimConfig() = %v, want the VC allocator's 64-bidder limit", err)
+			}
+		})
+	}
+}
+
+// TestSimConfigRejectsStepWorkers: the step_workers column stays in
+// the result schema, but the within-cycle stepper it selected is gone,
+// so a scenario asking for it is an error that points at shards.
+func TestSimConfigRejectsStepWorkers(t *testing.T) {
+	for _, w := range []int{-1, 2} {
+		sc := Scenario{Router: "spec-vc", K: 4, StepWorkers: w, Load: 0.1}
+		if _, err := sc.SimConfig(1, Protocol{Warmup: 1, Packets: 1}); err == nil || !strings.Contains(err.Error(), "shards") {
+			t.Errorf("step_workers %d: SimConfig() = %v, want an error pointing at shards", w, err)
+		}
+	}
+	for _, w := range []int{0, 1} {
+		sc := Scenario{Router: "spec-vc", K: 4, StepWorkers: w, Load: 0.1}
+		if _, err := sc.SimConfig(1, Protocol{Warmup: 1, Packets: 1}); err != nil {
+			t.Errorf("step_workers %d: %v", w, err)
+		}
+	}
+}

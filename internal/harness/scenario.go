@@ -45,14 +45,13 @@ type Scenario struct {
 	PacketSize int `json:"packet_size"`
 	// CreditDelay is the credit propagation delay in cycles.
 	CreditDelay int `json:"credit_delay"`
-	// StepWorkers selects the network's deterministic parallel stepper
-	// (0 or 1 = serial engine; > 1 = that many stepper workers). It is
-	// an execution axis: results are byte-identical for every value.
+	// StepWorkers is kept only so the result schema (and checkpoint
+	// keys) keep their step_workers column. The within-cycle stepper it
+	// selected was removed; SimConfig rejects values above 1.
 	StepWorkers int `json:"step_workers"`
-	// Shards selects the network's lookahead-sharded engine (0 or 1 =
-	// single-range engines; > 1 = that many shards stepping windows
-	// concurrently). Like StepWorkers it is an execution axis: results
-	// are byte-identical for every value, and the two compose.
+	// Shards splits the network into that many shards stepping windows
+	// concurrently (0 or 1 = one shard, inline). It is an execution
+	// axis: results are byte-identical for every value.
 	Shards int `json:"shards"`
 	// Source is the injection-process spec (traffic.ParseSource): empty
 	// or "const" is the paper's constant-rate source; "bernoulli",
@@ -92,7 +91,6 @@ type Matrix struct {
 	BufsPerVC    []int     `json:"bufs_per_vc"`
 	PacketSizes  []int     `json:"packet_sizes"`
 	CreditDelays []int     `json:"credit_delays"`
-	StepWorkers  []int     `json:"step_workers"`
 	Shards       []int     `json:"shards,omitempty"`
 	Sources      []string  `json:"sources,omitempty"`
 	Sizes        []string  `json:"sizes,omitempty"`
@@ -129,9 +127,6 @@ func (m Matrix) Normalize() Matrix {
 	}
 	if len(m.CreditDelays) == 0 {
 		m.CreditDelays = []int{1}
-	}
-	if len(m.StepWorkers) == 0 {
-		m.StepWorkers = []int{0}
 	}
 	if len(m.Shards) == 0 {
 		m.Shards = []int{0}
@@ -175,7 +170,7 @@ func (m Matrix) Expand() []Scenario {
 	axes := []int{
 		len(m.Routers), len(m.Topologies), len(m.Ks), len(m.Patterns),
 		len(m.VCs), len(m.BufsPerVC), len(m.PacketSizes), len(m.CreditDelays),
-		len(m.StepWorkers), len(m.Shards), len(m.Sources), len(m.Sizes),
+		len(m.Shards), len(m.Sources), len(m.Sizes),
 		len(m.Overrides), len(m.Routings), len(m.Faults), len(m.Loads),
 	}
 	total := 1
@@ -195,14 +190,13 @@ func (m Matrix) Expand() []Scenario {
 			BufPerVC:    m.BufsPerVC[idx[5]],
 			PacketSize:  m.PacketSizes[idx[6]],
 			CreditDelay: m.CreditDelays[idx[7]],
-			StepWorkers: m.StepWorkers[idx[8]],
-			Shards:      m.Shards[idx[9]],
-			Source:      m.Sources[idx[10]],
-			Sizes:       m.Sizes[idx[11]],
-			Overrides:   m.Overrides[idx[12]],
-			Routing:     m.Routings[idx[13]],
-			Faults:      m.Faults[idx[14]],
-			Load:        m.Loads[idx[15]],
+			Shards:      m.Shards[idx[8]],
+			Source:      m.Sources[idx[9]],
+			Sizes:       m.Sizes[idx[10]],
+			Overrides:   m.Overrides[idx[11]],
+			Routing:     m.Routings[idx[12]],
+			Faults:      m.Faults[idx[13]],
+			Load:        m.Loads[idx[14]],
 		}
 		sc = sc.canonical()
 		// The VCs axis does not apply to non-VC kinds: pin to 1 so the
@@ -326,7 +320,6 @@ func (s Scenario) Matrix() Matrix {
 		BufsPerVC:    []int{s.BufPerVC},
 		PacketSizes:  []int{s.PacketSize},
 		CreditDelays: []int{s.CreditDelay},
-		StepWorkers:  []int{s.StepWorkers},
 		Shards:       []int{s.Shards},
 		Sources:      []string{s.Source},
 		Sizes:        []string{s.Sizes},
@@ -341,11 +334,8 @@ func (s Scenario) Matrix() Matrix {
 // progress lines and error messages.
 func (s Scenario) Label() string {
 	stepper := ""
-	if s.StepWorkers > 1 {
-		stepper = fmt.Sprintf("/par%d", s.StepWorkers)
-	}
 	if s.Shards > 1 {
-		stepper += fmt.Sprintf("/sh%d", s.Shards)
+		stepper = fmt.Sprintf("/sh%d", s.Shards)
 	}
 	// Canonical specs never pin their own size (canonical() factors it
 	// into K), but a hand-built scenario might; only size-unpinned specs
@@ -400,8 +390,8 @@ func (s Scenario) SimConfig(seed uint64, pr Protocol) (sim.Config, error) {
 	if s.VCs < 1 || s.BufPerVC < 1 || s.PacketSize < 1 || s.CreditDelay < 1 {
 		return sim.Config{}, fmt.Errorf("nonpositive VC, buffer, packet size, or credit delay")
 	}
-	if s.StepWorkers < 0 {
-		return sim.Config{}, fmt.Errorf("negative step worker count %d", s.StepWorkers)
+	if s.StepWorkers < 0 || s.StepWorkers > 1 {
+		return sim.Config{}, fmt.Errorf("step_workers %d: the within-cycle stepper was removed; use shards to step in parallel", s.StepWorkers)
 	}
 	if s.Shards < 0 {
 		return sim.Config{}, fmt.Errorf("negative shard count %d", s.Shards)
@@ -443,7 +433,6 @@ func (s Scenario) SimConfig(seed uint64, pr Protocol) (sim.Config, error) {
 		PacketSize:  s.PacketSize,
 		Pattern:     pat,
 		CreditDelay: s.CreditDelay,
-		StepWorkers: s.StepWorkers,
 		Shards:      s.Shards,
 		Source:      srcSpec,
 		Sizes:       sizer,

@@ -19,9 +19,10 @@ const neverDue = math.MaxInt64
 // are FIFO-ordered and the implementation is a power-of-two ring of
 // pending entries indexed with a mask.
 //
-// A wire has exactly one producer (Push) and one consumer (Pop); the
-// parallel network stepper relies on those two never running in the same
-// phase, which is what makes a Wire safe without locks.
+// A wire has exactly one producer (Push) and one consumer (Pop), and
+// both run in the same network shard: a link between shards is split
+// into an outbox and an inbox wire joined by MoveTo at the barriers,
+// which is what makes a Wire safe without locks.
 type Wire[T any] struct {
 	delay int64
 	buf   []entry[T]
@@ -116,7 +117,7 @@ func (w *Wire[T]) grow() {
 
 // MoveTo appends every in-flight item of w to dst, preserving due
 // times, and leaves w empty. It is the boundary-exchange primitive of
-// the sharded engine: a shard pushes onto a private outbox wire during
+// a multi-shard network: a shard pushes onto a private outbox wire during
 // its window, and the barrier moves the batch onto the receiving
 // router's real input wire. The caller guarantees dues are appended in
 // nondecreasing order relative to dst's existing tail (the lookahead

@@ -19,9 +19,8 @@ func TestAuditCleanRun(t *testing.T) {
 	}{
 		{"fullscan", func(c *Config) { c.FullScan = true }, false},
 		{"active", func(c *Config) {}, false},
-		{"parallel2", func(c *Config) { c.StepWorkers = 2 }, false},
 		{"sharded2", func(c *Config) { c.Shards = 2 }, false},
-		{"sharded4-parallel2", func(c *Config) { c.Shards = 4; c.StepWorkers = 2 }, false},
+		{"sharded4", func(c *Config) { c.Shards = 4 }, false},
 	}
 	kinds := []router.Kind{router.Wormhole, router.SpeculativeVC}
 	for _, shape := range shapes {
@@ -78,7 +77,7 @@ func TestAuditDetectsLeakedFlit(t *testing.T) {
 	for ; now < 200; now++ {
 		net.Step(now)
 	}
-	net.auditInjected++ // one phantom flit that never entered the wires
+	net.shards[0].injected++ // one phantom flit that never entered the wires
 	expectAuditPanic(t, net, now, "flit conservation")
 }
 

@@ -22,9 +22,8 @@ import (
 // severed from a source are marked with the router.Unroutable sentinel:
 // packets to them drain through the ejection port of the router that
 // discovered the partition and are counted, not delivered. Application
-// points are barrier-synchronized in every engine (serial, gang,
-// active-set, sharded), so a faulted run remains byte-identical across
-// engines and worker counts.
+// points are shard barriers (the full-scan oracle's too), so a faulted
+// run remains byte-identical across shard counts.
 
 // FaultEvent is one parsed entry of a fault plan. Exactly one of the
 // kinds is active: a named link (Link), a named router (Router >= 0), or
@@ -371,21 +370,20 @@ func resolveFaults(fp *FaultPlan, topo topology.Topology, netSeed uint64) (*faul
 // applyFaults applies every fault event due at or before now: dead
 // output ports are ORed into deadOut (the adaptive policies read it) and
 // the routing tables are rebuilt on the live graph. Callers hold the
-// engine at a barrier (no router stepping concurrently); every engine
-// applies a given fault before any routing decision of a cycle >= its
-// fault cycle, which is what keeps faulted runs byte-identical across
-// engines.
+// engine at a barrier (no router stepping concurrently); a given fault
+// is applied before any routing decision of a cycle >= its fault cycle,
+// which is what keeps faulted runs byte-identical across shard counts.
 func (n *Network) applyFaults(now int64) {
 	fs := n.faults
 	if fs.idx >= len(fs.events) || fs.events[fs.idx].cycle > now {
 		return
 	}
-	// The rebuilt tables depend only on the final live graph, so an
-	// engine catching up on several fault cycles at once — which only
-	// happens across decision-free spans, because every engine clamps
-	// its stepping horizon to the next unapplied fault cycle — can fold
-	// them into one rebuild and stay identical to an engine that applied
-	// each fault on time.
+	// The rebuilt tables depend only on the final live graph, so
+	// catching up on several fault cycles at once — which only happens
+	// across decision-free spans, because every round clamps its
+	// stepping horizon to the next unapplied fault cycle — can fold them
+	// into one rebuild and stay identical to applying each fault on
+	// time.
 	for fs.idx < len(fs.events) && fs.events[fs.idx].cycle <= now {
 		for _, k := range fs.events[fs.idx].kills {
 			n.deadOut[k[0]] |= 1 << uint(k[1])

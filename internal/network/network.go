@@ -78,18 +78,11 @@ type Config struct {
 	// freedom on the wraparound rings comes from dateline VC classes,
 	// which wormhole flow control cannot provide.
 	Topo topology.Topology
-	// StepWorkers selects the deterministic parallel stepper: with a
-	// value > 1, Step runs the routers' deliver and compute phases on
-	// that many persistent workers. Results are byte-identical to the
-	// serial engine for any worker count; 0 or 1 is the serial engine.
-	// Networks using the parallel stepper must be Closed after use.
-	StepWorkers int
-	// FullScan selects the legacy stepper that scans every router and
-	// every source each cycle instead of the active-set scheduler.
-	// Results are byte-identical either way; the full scan exists as
-	// the reference engine for the scheduler's event-trace identity
-	// tests and as the benchmark baseline. It also disables NextDue's
-	// quiescence fast-forward (NextDue always answers now+1).
+	// FullScan selects the reference oracle the engine's identity tests
+	// and the root benchmarks compare against: the one-shard engine with
+	// its worklist replaced by every router that is not idle and every
+	// source, every cycle. NextDue then always answers now+1. Results are
+	// byte-identical either way. It needs Shards <= 1.
 	FullScan bool
 	// Shards splits the network into that many balanced node sets
 	// (boundary-minimizing partitions; cube-aligned slabs when those
@@ -98,11 +91,10 @@ type Config struct {
 	// neighbor pair by link delay and credit-loop slack (see
 	// shard.go) — the engine for scaling wall-clock across cores on
 	// large networks.
-	// Results are byte-identical to the serial engine for any shard
-	// count. 0 or 1 keeps the single-range engines; values > 1 require
-	// the active-set scheduler (FullScan off) and at most one shard
-	// per node, and the network must be Closed after use. Composes
-	// with StepWorkers: each shard then runs its own worker gang.
+	// Results are byte-identical for any shard count. 0 or 1 runs the
+	// network as one shard, inline on the caller's goroutine; values > 1
+	// need at most one shard per node, and the network must then be
+	// Closed after use.
 	Shards int
 	// Seed makes the simulation exactly reproducible.
 	Seed uint64
@@ -111,7 +103,7 @@ type Config struct {
 	// credit conservation, and buffer occupancy bounds, and panics with
 	// a diagnostic snapshot on the first violation (see audit.go). The
 	// checks are observationally side-effect free — results are
-	// byte-identical with auditing on or off, on every engine. 0 (the
+	// byte-identical with auditing on or off, at every shard count. 0 (the
 	// default) keeps the audit entirely off the hot path.
 	Audit int
 
@@ -144,9 +136,6 @@ func (c *Config) Normalize() error {
 	if c.FlitDelay < 1 || c.CreditDelay < 1 {
 		return fmt.Errorf("network: propagation delays must be >= 1 cycle")
 	}
-	if c.StepWorkers < 0 {
-		return fmt.Errorf("network: negative step worker count %d", c.StepWorkers)
-	}
 	if c.Shards < 0 {
 		return fmt.Errorf("network: negative shard count %d", c.Shards)
 	}
@@ -168,7 +157,7 @@ func (c *Config) Normalize() error {
 	}
 	if c.Shards > 1 {
 		if c.FullScan {
-			return fmt.Errorf("network: sharding requires the active-set scheduler; FullScan is the single-range reference engine")
+			return fmt.Errorf("network: %d shards need the active-set worklists; FullScan is a one-shard reference oracle", c.Shards)
 		}
 		if nodes := c.Topo.Nodes(); c.Shards > nodes {
 			return fmt.Errorf("network: %d shards over %d nodes; need at most one shard per node", c.Shards, nodes)
@@ -287,8 +276,9 @@ type Network struct {
 	routers []*router.Router
 	sources []*source
 
-	// OnPacketCreated is called when a source generates a packet
-	// (before queueing); the simulator uses it to tag the sample space.
+	// OnPacketCreated is called for every packet a source generates,
+	// when Step replays the packet's creation cycle (which assigns its
+	// ID); the simulator uses it to tag the sample space.
 	OnPacketCreated func(p *flit.Packet, now int64)
 	// OnFlitEjected is called for every flit leaving the network.
 	OnFlitEjected func(f flit.Flit, now int64)
@@ -304,10 +294,6 @@ type Network struct {
 	// wheel is sized from it.
 	delayAt []int64
 
-	// pktFree is the packet pool: packets are recycled when their last
-	// flit is ejected, so a steady-state Step allocates nothing.
-	pktFree []*flit.Packet
-
 	// routeTab aliases every router's routing-table row (table mode
 	// only): fault application rewrites the rows in place at engine
 	// barriers, and the adaptive policies read them. deadOut is the
@@ -322,28 +308,17 @@ type Network struct {
 	unroutable   int64
 	droppedFlits int64
 
-	// gang and the prebuilt phase closures implement the deterministic
-	// parallel stepper. parNow carries the cycle into the closures
-	// without a per-cycle allocation; the gang's run barrier orders the
-	// write against the workers' reads.
-	gang      *pool.Gang
-	parNow    int64
-	deliverFn func(i int)
-	computeFn func(i int)
-	probed    bool
+	// probed: turnaround probes share one accumulator across routers,
+	// so a probed network steps its shards serially.
+	probed bool
 
-	// sched is the whole-network active-set scheduler (nil when
-	// cfg.FullScan or when the network is sharded): the per-cycle
-	// worklists that make Step cost O(in-flight work) instead of
-	// O(nodes). See sched.go.
-	sched *scheduler
-
-	// Sharded-engine state (cfg.Shards > 1; see shard.go): the shards
-	// and the node→shard map, the boundary wire pairs exchanged at
-	// each barrier, the global lookahead floor (the minimum directed
-	// shard-pair dependency bound — per-pair bounds live on the shards'
-	// dep lists), whether the partition's concatenation is global node
-	// order (replay fast path), and the gang that runs the shards.
+	// Engine state (see shard.go): the shards and the node→shard map,
+	// the boundary wire pairs exchanged at each barrier, the global
+	// lookahead floor (the minimum directed shard-pair dependency bound
+	// — per-pair bounds live on the shards' dep lists), whether the
+	// partition's concatenation is global node order (replay fast path),
+	// and the gang that runs the shards (nil with one shard, which runs
+	// inline).
 	shards       []*shard
 	shardAt      []int32
 	flitXfers    []flitXfer
@@ -354,17 +329,11 @@ type Network struct {
 	shardRunFn   func(i int)
 
 	// Invariant-auditor state (audit.go). auditEvery is cfg.Audit as an
-	// int64 (0 = off): the single branch the hot path pays when the
-	// auditor is disabled. auditNextAt is the next audit deadline — a
-	// cycle number on single-clock engines, a shard-clock value on the
-	// sharded engine (MaxInt64 there when auditing is off, so the
-	// round-horizon clamp is unconditional). auditInjected/auditDrained
-	// are the single-clock engines' flit-conservation counters; the
-	// sharded engine counts per shard so the increments stay race-free.
-	auditEvery    int64
-	auditNextAt   int64
-	auditInjected int64
-	auditDrained  int64
+	// int64 (0 = off). auditNextAt is the next audit deadline, a shard-
+	// clock value (MaxInt64 when auditing is off, so the round-horizon
+	// clamp is unconditional).
+	auditEvery  int64
+	auditNextAt int64
 }
 
 // New builds the network. The configuration is normalized in place.
@@ -452,7 +421,7 @@ func New(cfg Config) (*Network, error) {
 
 	// Fault plans resolve against the concrete topology (seeded random
 	// draws become named kills here, before any engine state exists, so
-	// every engine sees the same plan); adaptive policies share the
+	// every shard count sees the same plan); adaptive policies share the
 	// routers' table rows and the dead-port mask.
 	if cfg.faultPlan != nil {
 		fs, err := resolveFaults(cfg.faultPlan, n.topo, cfg.Seed)
@@ -486,31 +455,22 @@ func New(cfg Config) (*Network, error) {
 	// boundary exchange wires to the worst-case per-round traffic — a
 	// shard's window never exceeds twice the largest pair bound, and a
 	// wire additionally holds up to maxDelay in-flight items — so the
-	// steady-state barrier never grows a ring.
-	var shardParts [][]int32
-	var depBound map[[2]int32]int64
-	xferCap := 0
-	if cfg.Shards > 1 {
-		shardParts = partitionNodes(n.topo, cfg.Shards, delayAt, int64(cfg.FlitDelay))
-		n.shardAt = make([]int32, nodes)
-		for i, part := range shardParts {
-			for _, id := range part {
-				n.shardAt[id] = int32(i)
-			}
+	// steady-state barrier never grows a ring. One shard has no
+	// boundary, so none of this wires anything.
+	shardParts := partitionNodes(n.topo, max(cfg.Shards, 1), delayAt, int64(cfg.FlitDelay))
+	n.shardAt = make([]int32, nodes)
+	for i, part := range shardParts {
+		for _, id := range part {
+			n.shardAt[id] = int32(i)
 		}
-		depBound = make(map[[2]int32]int64)
-		maxDelay := int64(cfg.FlitDelay)
-		for _, d := range delayAt {
-			if d > maxDelay {
-				maxDelay = d
-			}
-		}
-		maxBound := maxDelay
-		if c := int64(cfg.CreditDelay) + int64(cfg.Router.CreditProcessDelay()); c > maxBound {
-			maxBound = c
-		}
-		xferCap = int(2*maxBound + maxDelay + 2)
 	}
+	depBound := make(map[[2]int32]int64)
+	maxDelay := int64(cfg.FlitDelay)
+	for _, d := range delayAt {
+		maxDelay = max(maxDelay, d)
+	}
+	maxBound := max(maxDelay, int64(cfg.CreditDelay)+int64(cfg.Router.CreditProcessDelay()))
+	xferCap := int(2*maxBound + maxDelay + 2)
 	noteDep := func(on, waiter int32, bound int64) {
 		k := [2]int32{on, waiter}
 		if b, ok := depBound[k]; !ok || bound < b {
@@ -533,7 +493,7 @@ func New(cfg Config) (*Network, error) {
 			if !ok {
 				continue
 			}
-			if n.shardAt != nil && n.shardAt[id] != n.shardAt[next] {
+			if n.shardAt[id] != n.shardAt[next] {
 				// Boundary link: both directions get an outbox written
 				// only by the pushing shard and an inbox read only by
 				// the receiving shard; the barrier moves entries over
@@ -598,59 +558,16 @@ func New(cfg Config) (*Network, error) {
 		n.sources[id] = newSource(n, id, inj, nodeRNG, fw, cw, vcs(id), buf(id))
 	}
 
-	if cfg.Shards > 1 {
-		n.buildShards(shardParts, depBound)
-		return n, nil
-	}
-	if !cfg.FullScan {
-		n.sched = newScheduler(n, n.buildSchedTables(0), 0, nodes)
-	}
-
-	if cfg.StepWorkers > 1 {
-		n.gang = pool.NewGang(cfg.StepWorkers)
-		if cfg.FullScan {
-			// In the deliver phase every router touches only its own
-			// input wires, so the full Idle check is safe; in the
-			// compute phase other routers push onto this router's input
-			// wires, so only the router-local ComputeIdle check may be
-			// used.
-			n.deliverFn = func(i int) {
-				if r := n.routers[i]; !r.Idle() {
-					r.Deliver(n.parNow)
-				}
-			}
-			n.computeFn = func(i int) {
-				if r := n.routers[i]; !r.ComputeIdle() {
-					r.Compute(n.parNow)
-				}
-			}
-		} else {
-			// The phases run over the active-list snapshot: every listed
-			// router has an arrival due or router-local work, so no idle
-			// filtering is needed.
-			n.deliverFn = func(i int) { n.routers[n.sched.active[i]].Deliver(n.parNow) }
-			n.computeFn = func(i int) { n.routers[n.sched.active[i]].Compute(n.parNow) }
-		}
-	}
+	n.buildShards(shardParts, depBound)
 	return n, nil
 }
 
-// Close releases the parallel steppers' workers. It is a no-op for
-// serial networks and must not be called twice.
+// Close stops the shard workers of a multi-shard network. One-shard
+// networks start no goroutines, so for them it is a no-op.
 func (n *Network) Close() {
-	if n.gang != nil {
-		n.gang.Close()
-		n.gang = nil
-	}
 	if n.shardGang != nil {
 		n.shardGang.Close()
 		n.shardGang = nil
-	}
-	for _, sh := range n.shards {
-		if sh.gang != nil {
-			sh.gang.Close()
-			sh.gang = nil
-		}
 	}
 }
 
@@ -691,117 +608,16 @@ func (n *Network) SetProbes(t *stats.Turnaround) {
 	}
 }
 
-// Step advances the whole network one cycle. Routers exchange all state
-// through ≥1-cycle wires, so the visit order within a cycle is
-// immaterial — which is also what makes the two-phase parallel stepper
-// exact: every Deliver only consumes items pushed in earlier cycles,
-// and every Compute only pushes items deliverable in later cycles.
-// Ejection callbacks and traffic sources always run serially, in node
-// order, so callback order (and thus all derived measurement) is
-// identical for any worker count.
+// Step advances the network through cycle now. Routers exchange all
+// state through ≥1-cycle wires, so the visit order within a cycle is
+// immaterial: each shard steps its routers and sources up to its
+// window horizon (shard.go), and then cycle now's buffered ejections
+// and packet creations replay on the callbacks serially, in node
+// order. Callback order, and thus every derived measurement, is
+// therefore identical for any shard count.
 func (n *Network) Step(now int64) {
-	if n.shards != nil {
-		n.stepSharded(now) // applies faults and audits at its shard barriers
-		return
+	if n.minShardClock() <= now {
+		n.advanceShards(now)
 	}
-	if n.faults != nil {
-		// Single-clock engines apply faults lazily at the next executed
-		// cycle: a quiescence fast-forward can only skip cycles with no
-		// routing decisions, so applying on arrival is observationally
-		// identical to applying exactly on the fault cycle.
-		n.applyFaults(now)
-	}
-	if n.sched != nil {
-		n.stepActive(now)
-	} else {
-		n.stepFullScan(now)
-	}
-	// Audit deadlines are absolute cycle numbers (not now%K) so the
-	// sim layer's quiescence fast-forward advances toward the next
-	// deadline instead of hopping over every multiple of K forever.
-	if n.auditEvery > 0 && now >= n.auditNextAt {
-		n.runAudit(now)
-		n.auditNextAt = now + n.auditEvery
-	}
-}
-
-func (n *Network) stepFullScan(now int64) {
-	if n.gang != nil && !n.probed {
-		n.parNow = now
-		n.gang.Run(len(n.routers), n.deliverFn)
-		n.gang.Run(len(n.routers), n.computeFn)
-	} else {
-		for _, r := range n.routers {
-			// Skip routers with no buffered flits, latched grants, or
-			// in-flight wire traffic: stepping them is a no-op.
-			if r.Idle() {
-				continue
-			}
-			r.Step(now)
-		}
-	}
-	for id, r := range n.routers {
-		ejected := r.Ejected()
-		if len(ejected) == 0 {
-			continue
-		}
-		for _, f := range ejected {
-			n.handleEject(id, f, now)
-		}
-		r.ClearEjected()
-	}
-	for _, s := range n.sources {
-		s.step(now)
-	}
-	// (Router flit-push masks are wake bookkeeping for the active-set
-	// engine; the full scan visits everyone anyway and never reads
-	// them, so the stale bits are simply ignored.)
-}
-
-func (n *Network) handleEject(at int, f flit.Flit, now int64) {
-	n.auditDrained++ // every ejected flit — delivered or dropped — has left the network
-	if f.Pkt.Dst != at {
-		if !f.Pkt.Dropped {
-			panic(fmt.Sprintf("network: flit of packet %d (dst %d) ejected at node %d", f.Pkt.ID, f.Pkt.Dst, at))
-		}
-		// Unroutable drain: a fault severed the destination, so the
-		// packet drained through this router's ejection port. Its flits
-		// count as dropped, not delivered (OnFlitEjected stays silent so
-		// throughput excludes them); completion still fires OnPacketDone
-		// so the measurement layer can retire tagged packets.
-		n.droppedFlits++
-		if f.Pkt.Done() {
-			n.unroutable++
-			if n.OnPacketDone != nil {
-				n.OnPacketDone(f.Pkt, now)
-			}
-			n.freePacket(f.Pkt)
-		}
-		return
-	}
-	if n.OnFlitEjected != nil {
-		n.OnFlitEjected(f, now)
-	}
-	if f.Pkt.Done() {
-		if n.OnPacketDone != nil {
-			n.OnPacketDone(f.Pkt, now)
-		}
-		n.freePacket(f.Pkt)
-	}
-}
-
-// allocPacket takes a zeroed packet from the pool (or allocates one).
-func (n *Network) allocPacket() *flit.Packet {
-	if len(n.pktFree) == 0 {
-		return &flit.Packet{}
-	}
-	p := n.pktFree[len(n.pktFree)-1]
-	n.pktFree = n.pktFree[:len(n.pktFree)-1]
-	return p
-}
-
-// freePacket recycles a fully ejected packet.
-func (n *Network) freePacket(p *flit.Packet) {
-	p.Reset()
-	n.pktFree = append(n.pktFree, p)
+	n.replay(now)
 }

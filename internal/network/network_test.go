@@ -1,6 +1,7 @@
 package network
 
 import (
+	"strings"
 	"testing"
 
 	"routersim/internal/flit"
@@ -213,5 +214,44 @@ func TestCreditConservation(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestNormalizeRejectsVCAllocatorOverflow: the VC allocator's second
+// stage arbitrates over every input VC (ports × VCs), and the arbiters
+// cap at 64 requesters. Each of these configs used to pass Normalize
+// and panic inside the arbiter constructor; each must now be rejected
+// up front with an error naming the product and the limit, including
+// when the overflow comes from one router's VC override.
+func TestNormalizeRejectsVCAllocatorOverflow(t *testing.T) {
+	vcs := func(n int) router.Config {
+		rc := router.DefaultConfig(router.SpeculativeVC)
+		rc.VCs = n
+		return rc
+	}
+	topo := func(spec string) topology.Topology {
+		tp, err := topology.New(spec, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tp
+	}
+	cases := []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"mesh-vcs16", Config{Router: vcs(16)}, "5 ports × 16 VCs = 80 input VCs"},
+		{"ring8-vcs64", Config{Topo: topo("ring:8"), Router: vcs(64)}, "3 ports × 64 VCs = 192 input VCs"},
+		{"override-vcs40", Config{Router: vcs(2), Overrides: []RouterOverride{{Node: 0, VCs: 40}}}, "5 ports × 40 VCs = 200 input VCs"},
+		{"hypercube1024-vcs8", Config{Topo: topo("hypercube:1024"), Router: vcs(8)}, "11 ports × 8 VCs = 88 input VCs"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.cfg.Normalize()
+			if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "at most 64") {
+				t.Fatalf("Normalize() = %v, want an error containing %q and the 64 limit", err, tc.want)
+			}
+		})
 	}
 }

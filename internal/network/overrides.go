@@ -22,7 +22,7 @@ type RouterOverride struct {
 }
 
 // maxLinkDelay bounds per-router link delays: the active-set
-// scheduler's wake wheel has one slot per delay cycle.
+// scheduler's wake wheel has at least one slot per delay cycle.
 const maxLinkDelay = 1024
 
 // overridesForm renders the override grammar for error messages.

@@ -1,12 +1,14 @@
 package network
 
 import (
-	"math"
 	"math/bits"
+
+	"routersim/internal/router"
 )
 
-// This file implements the active-set scheduler: the default stepper
-// whose per-cycle cost is O(in-flight work) instead of O(nodes).
+// This file implements the active-set scheduler: each shard's per-cycle
+// worklists, which make a cycle cost O(in-flight work) instead of
+// O(nodes).
 //
 // Routers are stepped only while they can possibly act. The invariant
 // is maintained by two wake rules:
@@ -31,8 +33,8 @@ import (
 //
 // The worklists are bitmaps, one bit per node: a wake is a single
 // or-into-word, duplicates coalesce for free, and materializing the
-// cycle's list walks set bits in ascending node order — the exact order
-// the full scan visits routers in, which pins the ejection-callback
+// cycle's list walks set bits in ascending node order — the order the
+// full-scan oracle visits routers in, which pins the ejection-callback
 // order and therefore every derived measurement.
 //
 // Sources have their own list: a source stays active while its queue or
@@ -42,20 +44,24 @@ import (
 // and therefore never parks, keeping its random stream untouched). A
 // woken source applies the skipped injector ticks in one batch —
 // replaying the identical floating-point accumulator sequence — so the
-// injection schedule is bit-identical to the full-scan engine's.
+// injection schedule is bit-identical to the full-scan oracle's.
 //
 // When the carry bitmap, the wake wheel, and the source worklist agree
 // that nothing can happen before cycle T, NextDue reports T and the sim
 // run loop fast-forwards straight to it (quiescence fast-forward).
 //
-// The sharded engine (shard.go) instantiates one scheduler per shard
-// over an arbitrary node set: a contiguous range [base, base+count)
-// keeps the bitmaps range-local (bit = id - base) with pure arithmetic
-// index mapping, while a non-contiguous set (the boundary-minimizing
-// partitioner, shard.go) carries an explicit local→global table (idOf)
-// and shares the global→local table (tab.loc). The read-only link
-// tables are shared through schedTables. The whole-network scheduler is
-// the base=0, count=nodes special case.
+// The engine (shard.go) instantiates one scheduler per shard over its
+// node set: a contiguous range [base, base+count) — every node, with
+// one shard — keeps the bitmaps range-local (bit = id - base) with pure
+// arithmetic index mapping, while a non-contiguous set (the
+// boundary-minimizing partitioner, shard.go) carries an explicit
+// local→global table (idOf) and shares the global→local table
+// (tab.loc). The read-only link tables are shared through schedTables.
+//
+// Config.FullScan swaps in the reference oracle's worklists: every
+// router that is not idle and every source, every cycle. The wakes and
+// carries are still recorded and cleared but never read, and no source
+// ever parks, so NextDue always answers now+1.
 
 // schedTables holds the read-only link structure every scheduler range
 // of a network shares: built once at network.New, safe for concurrent
@@ -66,46 +72,29 @@ type schedTables struct {
 	outDst []int32
 	ports  int
 	// delay[id] is the propagation delay of every link driven by router
-	// id. wheelSize is the largest delay — or, on sharded networks, at
+	// id. Every wake wheel has wheelMask+1 slots, a power of two at
 	// least maxPairBound+maxDelay, because barrier-transferred arrivals
-	// can land that far ahead of a lagging shard's clock (shard.go) —
-	// and every wake wheel is sized to it. wheelMask is wheelSize-1 when
-	// the size is a power of two (the uniform-delay common case, usually
-	// 1), -1 otherwise: the slot computation runs on every flit push,
-	// and an AND is far cheaper than an int64 division.
+	// can land that far ahead of a lagging shard's clock (shard.go); with
+	// one shard that is the largest link delay, rounded up. The slot
+	// computation runs on every flit push, and an AND is far cheaper
+	// than an int64 division.
 	delay     []int64
-	wheelSize int64
 	wheelMask int64
 	// loc maps global node id → local index within its owning shard,
 	// set only when some shard holds a non-contiguous node set.
 	loc []int32
 }
 
-// buildSchedTables precomputes the shared downstream and delay tables.
-// minWheel, when positive, raises the wake-wheel size above the largest
-// link delay (the sharded engine's transfer-lead bound); 0 keeps the
-// plain delay-sized wheel.
-func (n *Network) buildSchedTables(minWheel int64) *schedTables {
+// buildSchedTables precomputes the shared downstream and delay tables
+// for wake wheels of the given size, a power of two.
+func (n *Network) buildSchedTables(wheel int64) *schedTables {
 	nodes := n.topo.Nodes()
 	ports := n.cfg.Router.Ports
-	d := int64(n.cfg.FlitDelay)
-	for _, pd := range n.delayAt {
-		if pd > d {
-			d = pd
-		}
-	}
-	if minWheel > d {
-		d = minWheel
-	}
 	tab := &schedTables{
 		outDst:    make([]int32, nodes*ports),
 		ports:     ports,
 		delay:     n.delayAt,
-		wheelSize: d,
-		wheelMask: -1,
-	}
-	if d&(d-1) == 0 {
-		tab.wheelMask = d - 1
+		wheelMask: wheel - 1,
 	}
 	if tab.delay == nil {
 		tab.delay = make([]int64, nodes)
@@ -130,29 +119,28 @@ func (n *Network) buildSchedTables(minWheel int64) *schedTables {
 // contiguous range (idOf nil; local index = id - base) or an arbitrary
 // ascending set (idOf maps local→global, tab.loc maps global→local).
 type scheduler struct {
-	tab   *schedTables
 	base  int32 // first node of the range (contiguous sets)
 	count int   // nodes covered
 	words int   // ceil(count / 64)
 
-	// Sharded-network ownership: self is the owning shard's index into
-	// shardAt (the network's node→shard map); both nil/-1 on unsharded
-	// networks, where ownership is the base/count range check.
+	// Ownership: self is the owning shard's index into shardAt (the
+	// network's node→shard map).
 	self    int32
 	shardAt []int32
+	// scan selects the full-scan oracle's worklists (Config.FullScan).
+	scan bool
 	// idOf, for non-contiguous node sets, maps local bitmap index →
 	// global node id (ascending); loc aliases tab.loc for the reverse
 	// map. Both nil for contiguous sets: the arithmetic fast path.
 	idOf []int32
 	loc  []int32
 
-	// Hot fields of tab, copied at construction so the per-push wake
-	// path (finishRouter) reads them without chasing the tab pointer.
-	// The slice headers alias tab's read-only backing arrays.
+	// Hot fields of the shared schedTables, copied at construction so
+	// the per-push wake path (finishRouter) reads them without a pointer
+	// chase. The slice headers alias the tables' read-only arrays.
 	outDst    []int32
 	delay     []int64
 	ports     int
-	wheelSize int64
 	wheelMask int64
 
 	// active is this cycle's materialized router worklist, ascending by
@@ -162,13 +150,13 @@ type scheduler struct {
 	carryBits  []uint64
 	carryCount int
 
-	// wheelBits[due mod wheelSize] holds the routers with an arrival
-	// due at cycle `due`; wheelCount counts per slot, wakeCount across
+	// wheelBits[due & wheelMask] holds the routers with an arrival due
+	// at cycle `due`; wheelCount counts per slot, wakeCount across
 	// slots. A wake issued during cycle t for a link of delay d is due
-	// at exactly t+d; every delay is >= 1 and <= wheelSize, so a due
-	// slot is never drained before its cycle. Boundary arrivals injected
-	// at a shard barrier land at most wheelSize-1 cycles ahead for the
-	// same reason, so the absolute-due wakeAt is equally safe.
+	// at exactly t+d; every delay is >= 1 and <= the slot count, so a
+	// due slot is never drained before its cycle. Boundary arrivals
+	// injected at a shard barrier land at most wheelMask cycles ahead
+	// for the same reason, so the absolute-due wakeAt is equally safe.
 	wheelBits  [][]uint64
 	wheelCount []int
 	wakeCount  int
@@ -194,56 +182,29 @@ func wakeLess(a, b srcWake) bool {
 	return a.at < b.at || (a.at == b.at && a.id < b.id)
 }
 
-// newScheduler builds the scheduler for the node range [base,
-// base+count) of a freshly wired network: every source in range either
-// parked at its first injection cycle or, if its injector has no exact
-// schedule, active from cycle 0.
-func newScheduler(n *Network, tab *schedTables, base, count int) *scheduler {
-	words := (count + 63) / 64
-	sc := &scheduler{
-		tab:        tab,
-		base:       int32(base),
-		count:      count,
-		words:      words,
-		self:       -1,
-		outDst:     tab.outDst,
-		delay:      tab.delay,
-		ports:      tab.ports,
-		wheelSize:  tab.wheelSize,
-		wheelMask:  tab.wheelMask,
-		carryBits:  make([]uint64, words),
-		wheelBits:  make([][]uint64, tab.wheelSize),
-		wheelCount: make([]int, tab.wheelSize),
-		srcBits:    make([]uint64, words),
-	}
-	for i := range sc.wheelBits {
-		sc.wheelBits[i] = make([]uint64, words)
-	}
-	sc.parkSources(n)
-	return sc
-}
-
-// newShardScheduler builds the scheduler of shard `self` over its node
-// set (ascending). A contiguous set keeps the arithmetic index mapping;
-// anything else installs the explicit local↔global maps (tab.loc must
-// already cover every node).
-func newShardScheduler(n *Network, tab *schedTables, self int, part []int32) *scheduler {
+// newScheduler builds the scheduler of shard `self` over its node set
+// (ascending) of a freshly wired network: every source either parked
+// at its first injection cycle or, if its injector has no exact
+// schedule (or the network is a full-scan oracle), active from cycle 0.
+// A contiguous set keeps the arithmetic index mapping; anything else
+// installs the explicit local↔global maps (tab.loc must already cover
+// every node).
+func newScheduler(n *Network, tab *schedTables, self int, part []int32) *scheduler {
 	words := (len(part) + 63) / 64
 	sc := &scheduler{
-		tab:        tab,
 		base:       part[0],
 		count:      len(part),
 		words:      words,
 		self:       int32(self),
 		shardAt:    n.shardAt,
+		scan:       n.cfg.FullScan,
 		outDst:     tab.outDst,
 		delay:      tab.delay,
 		ports:      tab.ports,
-		wheelSize:  tab.wheelSize,
 		wheelMask:  tab.wheelMask,
 		carryBits:  make([]uint64, words),
-		wheelBits:  make([][]uint64, tab.wheelSize),
-		wheelCount: make([]int, tab.wheelSize),
+		wheelBits:  make([][]uint64, tab.wheelMask+1),
+		wheelCount: make([]int, tab.wheelMask+1),
 		srcBits:    make([]uint64, words),
 	}
 	if int(part[len(part)-1]-part[0]) != len(part)-1 {
@@ -262,7 +223,7 @@ func (sc *scheduler) parkSources(n *Network) {
 	for li := 0; li < sc.count; li++ {
 		id := sc.global(int32(li))
 		s := n.sources[id]
-		if s.adv == nil {
+		if s.adv == nil || sc.scan {
 			sc.srcBits[li>>6] |= 1 << (uint(li) & 63)
 			sc.srcCount++
 			continue
@@ -270,8 +231,8 @@ func (sc *scheduler) parkSources(n *Network) {
 		// The first Tick lands on cycle 0, so consuming k ticks puts
 		// the first injection at cycle k-1. A parked-forever answer
 		// means the injector never fires (zero rate): the source is
-		// never stepped — exactly the full-scan behaviour, where its
-		// per-cycle Tick is a no-op.
+		// never stepped — exactly the full-scan oracle's behaviour,
+		// where its per-cycle Tick is a no-op.
 		if at := s.park(); at >= 0 {
 			sc.heapPush(srcWake{at: at, id: id})
 		}
@@ -296,12 +257,7 @@ func (sc *scheduler) global(li int32) int32 {
 
 // owns reports whether a (global) node id belongs to this scheduler's
 // node set.
-func (sc *scheduler) owns(id int32) bool {
-	if sc.shardAt != nil {
-		return sc.shardAt[id] == sc.self
-	}
-	return id >= sc.base && id < sc.base+int32(sc.count)
-}
+func (sc *scheduler) owns(id int32) bool { return sc.shardAt[id] == sc.self }
 
 // busy reports whether any worklist entry or pending wake exists — the
 // per-range quiescence check.
@@ -311,17 +267,13 @@ func (sc *scheduler) busy() bool {
 
 // wakeAt schedules router id (which must be in range) to be stepped at
 // the absolute cycle due. Duplicate wakes for the same (router, cycle)
-// coalesce. due must be in (sc.now, sc.now+wheelSize] — guaranteed for
-// arrival wakes (delay ∈ [1, wheelSize]) and for barrier-transferred
-// boundary arrivals (pushed at most wheelSize-1 cycles before their
-// due, at or after the receiving shard's current cycle).
+// coalesce. due must be in (sc.now, sc.now+wheelMask+1] — guaranteed
+// for arrival wakes (delay ∈ [1, wheelMask+1]) and for
+// barrier-transferred boundary arrivals (pushed at most wheelMask
+// cycles before their due, at or after the receiving shard's current
+// cycle).
 func (sc *scheduler) wakeAt(id int32, due int64) {
-	si := due
-	if sc.wheelMask >= 0 {
-		si &= sc.wheelMask
-	} else {
-		si %= sc.wheelSize
-	}
+	si := due & sc.wheelMask
 	slot := sc.wheelBits[si]
 	li := sc.local(id)
 	w, b := int(li)>>6, uint64(1)<<(uint(li)&63)
@@ -344,31 +296,13 @@ func (sc *scheduler) carry(id int32) {
 	sc.carryCount++
 }
 
-// wakeRouter is the network-facing wake hook (used by sources when they
-// inject — the injection channel has the driving node's link delay); it
-// is a no-op on full-scan networks. The source and its router share a
-// node, so on sharded networks the wake stays within the stepping
-// shard's own scheduler.
-func (n *Network) wakeRouter(id int32) {
-	if n.sched != nil {
-		n.sched.wake(id, n.sched.delay[id])
-	} else if n.shards != nil {
-		sc := n.shards[n.shardAt[id]].sc
-		sc.wake(id, sc.delay[id])
-	}
-}
-
 // buildActive assembles this cycle's router worklist: the carried-over
 // routers or-merged with the wheel slot due now, walked in ascending
-// node order.
-func (sc *scheduler) buildActive(now int64) {
+// node order. The full-scan oracle clears those bitmaps the same way
+// and then lists every router that is not idle instead.
+func (sc *scheduler) buildActive(now int64, routers []*router.Router) {
 	sc.now = now
-	slot := now
-	if sc.wheelMask >= 0 {
-		slot &= sc.wheelMask
-	} else {
-		slot %= sc.wheelSize
-	}
+	slot := now & sc.wheelMask
 	wb := sc.wheelBits[slot]
 	sc.active = sc.active[:0]
 	if sc.idOf == nil {
@@ -398,68 +332,20 @@ func (sc *scheduler) buildActive(now int64) {
 	sc.carryCount = 0
 	sc.wakeCount -= sc.wheelCount[slot]
 	sc.wheelCount[slot] = 0
-}
-
-// stepActive advances the network one cycle under the active-set
-// scheduler. Routers exchange all state through >= 1-cycle wires, so
-// only listed routers can act this cycle; everything else is untouched.
-func (n *Network) stepActive(now int64) {
-	sc := n.sched
-	sc.buildActive(now)
-	if n.gang != nil && !n.probed {
-		// Parallel: the two phases run over the active-list snapshot;
-		// ejection callbacks, wake collection, and carry decisions run
-		// serially afterwards, in node order, exactly like the serial
-		// walk below — so the event trace is identical for any worker
-		// count.
-		n.parNow = now
-		n.gang.Run(len(sc.active), n.deliverFn)
-		n.gang.Run(len(sc.active), n.computeFn)
-		for _, id := range sc.active {
-			n.finishRouter(int(id), now)
+	if sc.scan {
+		sc.active = sc.active[:0]
+		for li := 0; li < sc.count; li++ {
+			if id := sc.global(int32(li)); !routers[id].Idle() {
+				sc.active = append(sc.active, id)
+			}
 		}
-	} else {
-		for _, id := range sc.active {
-			n.routers[id].Step(now)
-			n.finishRouter(int(id), now)
-		}
-	}
-	n.stepActiveSources(now)
-}
-
-// finishRouter completes one stepped router's cycle: drain its ejected
-// flits onto the network's callbacks, convert its flit pushes into
-// arrival wakes for the downstream routers, and carry it to the next
-// cycle if it still has router-local work.
-func (n *Network) finishRouter(id int, now int64) {
-	sc := n.sched
-	r := n.routers[id]
-	if ejected := r.Ejected(); len(ejected) > 0 {
-		for _, f := range ejected {
-			n.handleEject(id, f, now)
-		}
-		r.ClearEjected()
-	}
-	for m := r.TakeFlitPushes(); m != 0; m &= m - 1 {
-		port := bits.TrailingZeros64(m)
-		if dst := sc.outDst[id*sc.ports+port]; dst >= 0 {
-			sc.wake(dst, sc.delay[id])
-		}
-	}
-	if !r.ComputeIdle() {
-		sc.carry(int32(id))
 	}
 }
 
-// stepActiveSources steps the sources that can act this cycle — the
+// stepSources steps the sources that can act this cycle — the
 // carried-over busy sources plus the parked sources whose injection is
 // due now — in node order. A source that goes idle parks at its exact
 // next injection cycle.
-func (n *Network) stepActiveSources(now int64) {
-	n.sched.stepSources(n, now)
-}
-
-// stepSources is stepActiveSources over one scheduler's node range.
 func (sc *scheduler) stepSources(n *Network, now int64) {
 	for len(sc.srcHeap) > 0 && sc.srcHeap[0].at <= now {
 		w := sc.heapPop()
@@ -501,7 +387,7 @@ func (sc *scheduler) stepSources(n *Network, now int64) {
 	for _, id := range sc.srcActive {
 		s := n.sources[id]
 		s.step(now)
-		if s.adv == nil || s.qlen > 0 || s.inFlight > 0 {
+		if sc.scan || s.adv == nil || s.qlen > 0 || s.inFlight > 0 {
 			li := sc.local(id)
 			sc.srcBits[li>>6] |= 1 << (uint(li) & 63)
 			sc.srcCount++
@@ -513,33 +399,6 @@ func (sc *scheduler) stepSources(n *Network, now int64) {
 		// Parked forever (zero rate): the source never injects again;
 		// leave it off every list.
 	}
-}
-
-// NextDue returns the earliest future cycle at which stepping the
-// network can have any observable effect. While any router or source
-// worklist entry exists (or an arrival wake is pending) it answers
-// now+1; when the network is fully quiescent it answers the earliest
-// parked injection, or math.MaxInt64 if no source will ever inject
-// again. The sim run loop uses it to fast-forward over quiescent spans.
-// It must be called after Step(now) (the worklists describe now+1), and
-// always answers now+1 on full-scan networks. On sharded networks it
-// composes the per-shard due times with the buffered window events (see
-// shard.go).
-func (n *Network) NextDue(now int64) int64 {
-	if n.shards != nil {
-		return n.nextDueSharded(now)
-	}
-	sc := n.sched
-	if sc == nil || sc.busy() {
-		return now + 1
-	}
-	if len(sc.srcHeap) == 0 {
-		return math.MaxInt64
-	}
-	if t := sc.srcHeap[0].at; t > now {
-		return t
-	}
-	return now + 1
 }
 
 // heapPush / heapPop implement a plain slice min-heap over srcWake

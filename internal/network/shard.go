@@ -13,10 +13,11 @@ import (
 	"routersim/internal/topology"
 )
 
-// This file implements the lookahead-sharded engine: the network is
-// split into node sets (shards) that step many cycles independently —
-// one goroutine each — between barriers, instead of synchronizing every
-// cycle like the two-phase parallel stepper.
+// This file implements the cycle engine: the network is split into
+// node sets (shards) that step many cycles independently — one
+// goroutine each — between barriers. Config.Shards <= 1 is the K=1
+// case: one shard over every node, no boundary, one-cycle windows, run
+// inline on the caller's goroutine.
 //
 // Each directed shard pair (a→b) with at least one boundary link gets
 // its own conservative lookahead bound B(a→b) = min over those links of
@@ -56,24 +57,25 @@ import (
 // moved flit was pushed at t ∈ [t_a, h_a) and is due at t+d, and the
 // receiver's clock can lag the sender's horizon by at most B(b→a), so
 // due − b.clock ≤ maxPairBound + maxDelay: the wake wheels are sized to
-// that bound (buildSchedTables' minWheel), so an absolute-due wake
-// never aliases another slot. Dues stay monotone per link across
-// rounds (push cycles only grow), so the inbox stays due-ordered.
+// that bound, rounded up to a power of two (buildShards), so an
+// absolute-due wake never aliases another slot. Dues stay monotone per
+// link across rounds (push cycles only grow), so the inbox stays
+// due-ordered.
 //
-// Observable effects are replayed serially so the engine is
-// byte-identical to the serial one. During its window each shard only
-// buffers its ejections (with a packet-done flag captured at the
-// ejection cycle, before later window cycles advance the count) and
-// its packet creations; Step(now) then replays the buffered events of
-// cycle `now` across shards. With contiguous slab partitions the
-// ascending-shard concatenation is already global node order; with the
-// boundary-minimizing partitioner's arbitrary node sets the replay
-// k-way merges the per-shard buffers on node id instead (each shard
-// buffers per cycle in ascending node order, so the merge reproduces
-// the serial engine's exact callback sequence). Packet IDs are
-// assigned at replay — the only global counter — so creation order,
-// IDs, and every derived measurement match the serial engine bit for
-// bit.
+// Observable effects are replayed serially so results do not depend
+// on the shard count. During its window each shard only buffers its
+// ejections (with a packet-done flag captured at the ejection cycle,
+// before later window cycles advance the count) and its packet
+// creations; Step(now) then replays the buffered events of cycle `now`
+// across shards, so the callbacks never run concurrently. With
+// contiguous slab partitions the ascending-shard concatenation is
+// already global node order; with the boundary-minimizing
+// partitioner's arbitrary node sets the replay k-way merges the
+// per-shard buffers on node id instead (each shard buffers per cycle in
+// ascending node order, so the merge reproduces the one-shard callback
+// sequence). Packet IDs are assigned at replay — the only global
+// counter — so creation order, IDs, and every derived measurement match
+// the one-shard engine bit for bit.
 
 // ejectEvent is one buffered flit ejection. done is whether this flit
 // completed its packet, captured at ejection time (the packet's
@@ -83,7 +85,7 @@ type ejectEvent struct {
 	f flit.Flit
 	// at is the ejecting node: the destination for delivered flits, the
 	// dropping router for unroutable drains. The replay merge orders on
-	// it, matching the serial engine's ascending-node ejection order.
+	// it, giving every shard count the same ascending-node order.
 	at   int32
 	done bool
 }
@@ -117,8 +119,8 @@ type shardDep struct {
 	bound int64
 }
 
-// shard is one node set of the sharded engine: its own scheduler,
-// clock, event buffers, packet pool, and (optionally) worker gang.
+// shard is one node set of the engine: its own scheduler, clock, event
+// buffers, packet pool, and flit-conservation counters.
 type shard struct {
 	net *Network
 	idx int
@@ -133,14 +135,6 @@ type shard struct {
 	// shard that drives flits or returns credits into this one.
 	deps []shardDep
 
-	// gang and the phase closures parallelize deliver/compute inside
-	// the shard when StepWorkers > 1 (each shard owns its gang; Gang.Run
-	// is not reentrant but distinct gangs are independent).
-	gang      *pool.Gang
-	parNow    int64
-	deliverFn func(i int)
-	computeFn func(i int)
-
 	// Buffered window events, appended in (cycle, node) order; the
 	// cursors track serial replay. run compacts the unreplayed tail to
 	// the front of each buffer before appending more, so the slices
@@ -150,10 +144,11 @@ type shard struct {
 	creates []createEvent
 	crCur   int
 
-	// pktFree is the shard-local packet pool. Sources allocate from
-	// their own shard's pool during the window; the serial replay frees
-	// a finished packet back to its source's shard, so pools stay
-	// balanced under asymmetric traffic.
+	// pktFree is the shard-local packet pool: packets are recycled when
+	// their last flit is ejected, so a steady-state Step allocates
+	// nothing. Sources allocate from their own shard's pool during the
+	// window; the serial replay frees a finished packet back to its
+	// source's shard, so pools stay balanced under asymmetric traffic.
 	pktFree []*flit.Packet
 
 	// injected/drained are this shard's flit-conservation counters
@@ -162,15 +157,6 @@ type shard struct {
 	// increments are race-free; the auditor sums them at barriers.
 	injected int64
 	drained  int64
-}
-
-func (sh *shard) allocPacket() *flit.Packet {
-	if len(sh.pktFree) == 0 {
-		return &flit.Packet{}
-	}
-	p := sh.pktFree[len(sh.pktFree)-1]
-	sh.pktFree = sh.pktFree[:len(sh.pktFree)-1]
-	return p
 }
 
 // partitionNodes splits the nodes into `shards` non-empty sets, sizes
@@ -490,10 +476,11 @@ func sortInt32(s []int32) {
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }
 
-// buildShards finishes sharded-engine construction once routers, wires,
-// and sources exist: per-shard schedulers over the shared tables, the
+// buildShards finishes engine construction once routers, wires, and
+// sources exist: per-shard schedulers over the shared tables, the
 // dependency bounds collected during wiring, boundary wake closures,
-// gangs, and the global lookahead floor.
+// the shard gang (only for more than one shard), and the global
+// lookahead floor.
 func (n *Network) buildShards(parts [][]int32, depBound map[[2]int32]int64) {
 	// The wake wheels must absorb barrier transfers landing up to
 	// maxPairBound+maxDelay cycles ahead of a lagging receiver's clock;
@@ -515,15 +502,16 @@ func (n *Network) buildShards(parts [][]int32, depBound map[[2]int32]int64) {
 		}
 	}
 	if len(depBound) == 0 {
-		// No boundary at all (disconnected shards): any positive floor
-		// works; keep the old single-window pace.
-		n.lookahead = int64(n.cfg.CreditDelay)
+		// No boundary: any positive floor is safe. One cycle per window
+		// keeps a single shard's routers at the caller's cycle between
+		// Steps, as probes and diagnostics expect.
+		n.lookahead = 1
 	}
-	minWheel := int64(1)
-	for minWheel < maxBound+maxDelay {
-		minWheel <<= 1
+	wheel := int64(1)
+	for wheel < maxBound+maxDelay {
+		wheel <<= 1
 	}
-	tab := n.buildSchedTables(minWheel)
+	tab := n.buildSchedTables(wheel)
 
 	// partsOrdered: ascending concatenation of the parts is exactly
 	// 0..nodes-1, so the replay can concatenate instead of merging.
@@ -549,14 +537,9 @@ func (n *Network) buildShards(parts [][]int32, depBound map[[2]int32]int64) {
 	n.shards = make([]*shard, len(parts))
 	for i := range n.shards {
 		sh := &shard{net: n, idx: i}
-		sh.sc = newShardScheduler(n, tab, i, parts[i])
+		sh.sc = newScheduler(n, tab, i, parts[i])
 		sh.ejects = make([]ejectEvent, 0, 64)
 		sh.creates = make([]createEvent, 0, 64)
-		if n.cfg.StepWorkers > 1 {
-			sh.gang = pool.NewGang(n.cfg.StepWorkers)
-			sh.deliverFn = func(i int) { n.routers[sh.sc.active[i]].Deliver(sh.parNow) }
-			sh.computeFn = func(i int) { n.routers[sh.sc.active[i]].Compute(sh.parNow) }
-		}
 		n.shards[i] = sh
 	}
 	// Dependency edges, sorted by source shard for a deterministic
@@ -582,23 +565,24 @@ func (n *Network) buildShards(parts [][]int32, depBound map[[2]int32]int64) {
 		dst := x.dst
 		x.wake = func(due int64) { sc.wakeAt(dst, due) }
 	}
-	n.shardGang = pool.NewGang(len(n.shards))
-	n.shardRunFn = func(i int) {
-		sh := n.shards[i]
-		sh.run(sh.now, sh.horizon)
+	if len(n.shards) > 1 {
+		n.shardGang = pool.NewGang(len(n.shards))
+		n.shardRunFn = func(i int) {
+			sh := n.shards[i]
+			sh.run(sh.now, sh.horizon)
+		}
 	}
-	// Audit deadlines on the sharded engine are shard-clock values; the
-	// round-horizon clamp in runRound is unconditional, so a disabled
-	// auditor parks the deadline at infinity like an exhausted fault
-	// plan.
+	// Audit deadlines are shard-clock values; the round-horizon clamp in
+	// runRound is unconditional, so a disabled auditor parks the
+	// deadline at infinity like an exhausted fault plan.
 	n.auditNextAt = math.MaxInt64
 	if n.auditEvery > 0 {
 		n.auditNextAt = n.auditEvery
 	}
 }
 
-// Lookahead returns the sharded engine's global window floor in cycles
-// (0 on unsharded networks): the minimum dependency bound over every
+// Lookahead returns the engine's global window floor in cycles (1 on
+// one-shard networks): the minimum dependency bound over every
 // directed shard pair — each round advances the slowest shard by at
 // least this much. Individual pairs may tolerate more; see
 // PairLookahead.
@@ -616,17 +600,6 @@ func (n *Network) PairLookahead(from, to int) int64 {
 		}
 	}
 	return 0
-}
-
-// stepSharded advances the sharded engine to cycle now: rounds run
-// until every shard's clock has passed now (with a quiescence
-// fast-forward jumping the clocks over dead air), then cycle now's
-// buffered events replay serially.
-func (n *Network) stepSharded(now int64) {
-	if n.minShardClock() <= now {
-		n.advanceShards(now)
-	}
-	n.replaySharded(now)
 }
 
 // minShardClock is the global completion point: every cycle strictly
@@ -723,9 +696,9 @@ func (n *Network) runRound() {
 		}
 		sh.horizon = h
 	}
-	if n.probed {
-		// Probes share one accumulator across routers; a probed network
-		// steps its shards serially, like the unsharded steppers.
+	if n.shardGang == nil || n.probed {
+		// One shard runs inline. Probes share one accumulator across
+		// routers, so a probed network steps its shards serially too.
 		for _, sh := range n.shards {
 			sh.run(sh.now, sh.horizon)
 		}
@@ -766,10 +739,10 @@ func (n *Network) runRound() {
 	}
 }
 
-// run steps one shard through the window [start, end): the per-shard
-// clone of stepActive, with ejections buffered instead of delivered,
-// cross-shard pushes left for the barrier, and shard-local quiescent
-// gaps skipped to the next parked injection.
+// run steps one shard through the window [start, end): each cycle the
+// worklist's routers and then its sources, with ejections buffered for
+// the replay, cross-shard pushes left for the barrier, and shard-local
+// quiescent gaps skipped to the next parked injection.
 func (sh *shard) run(start, end int64) {
 	if end <= start {
 		return
@@ -791,19 +764,10 @@ func (sh *shard) run(start, end int64) {
 				t = at
 			}
 		}
-		sc.buildActive(t)
-		if sh.gang != nil && !sh.net.probed {
-			sh.parNow = t
-			sh.gang.Run(len(sc.active), sh.deliverFn)
-			sh.gang.Run(len(sc.active), sh.computeFn)
-			for _, id := range sc.active {
-				sh.finishRouter(int(id), t)
-			}
-		} else {
-			for _, id := range sc.active {
-				sh.net.routers[id].Step(t)
-				sh.finishRouter(int(id), t)
-			}
+		sc.buildActive(t, sh.net.routers)
+		for _, id := range sc.active {
+			sh.net.routers[id].Step(t)
+			sh.finishRouter(int(id), t)
 		}
 		sc.stepSources(sh.net, t)
 	}
@@ -826,8 +790,9 @@ func (sh *shard) compact() {
 
 // finishRouter completes one stepped router's cycle inside a window:
 // ejections are buffered with their done flag, in-shard pushes wake the
-// downstream router, and cross-shard pushes stay in their boundary
-// outbox for the barrier to deliver and wake.
+// downstream router, cross-shard pushes stay in their boundary outbox
+// for the barrier to deliver and wake, and a router with router-local
+// work left carries itself to the next cycle.
 func (sh *shard) finishRouter(id int, now int64) {
 	sc := sh.sc
 	r := sh.net.routers[id]
@@ -857,9 +822,12 @@ func (sh *shard) finishRouter(id int, now int64) {
 // shard is read before Reset zeroes the packet.
 func (n *Network) fireEject(e *ejectEvent, now int64) {
 	if e.f.Pkt.Dropped {
-		// Unroutable drain: counted, not delivered — OnFlitEjected stays
-		// silent so throughput excludes the flits, mirroring the serial
-		// engine's handleEject.
+		// Unroutable drain: a fault severed the destination, so the
+		// packet drained through the ejection port of the router that
+		// found the partition. Its flits count as dropped, not delivered
+		// (OnFlitEjected stays silent so throughput excludes them);
+		// completion still fires OnPacketDone so the measurement layer
+		// can retire tagged packets.
 		n.droppedFlits++
 		if !e.done {
 			return
@@ -889,14 +857,14 @@ func (n *Network) fireCreate(e *createEvent, now int64) {
 	}
 }
 
-// replaySharded fires cycle now's buffered events on the network's
-// callbacks in the serial engine's exact per-cycle order: every
-// ejection in ascending node order, then every creation. With ordered
-// (contiguous slab) partitions, ascending shard order is ascending
+// replay fires cycle now's buffered events on the network's callbacks
+// in one fixed per-cycle order: every ejection in ascending node order,
+// then every creation. With ordered (contiguous slab) partitions —
+// always the case for one shard — ascending shard order is ascending
 // node order and the replay concatenates; otherwise the per-shard
 // buffers — each already ascending by node within the cycle — k-way
 // merge on node id.
-func (n *Network) replaySharded(now int64) {
+func (n *Network) replay(now int64) {
 	if n.partsOrdered {
 		for _, sh := range n.shards {
 			for sh.ejCur < len(sh.ejects) {
@@ -978,12 +946,16 @@ func (n *Network) replaySharded(now int64) {
 	}
 }
 
-// nextDueSharded composes quiescence fast-forward with the per-shard
-// clocks: the earliest unreplayed buffered event, else the earliest
-// busy shard's next-unexecuted cycle (pending wakes cover
-// barrier-transferred boundary flits), else the earliest parked
-// injection across shards.
-func (n *Network) nextDueSharded(now int64) int64 {
+// NextDue returns the earliest future cycle at which stepping the
+// network can have any observable effect: the earliest unreplayed
+// buffered event, else the earliest busy shard's next-unexecuted cycle
+// (pending wakes cover barrier-transferred boundary flits), else the
+// earliest parked injection across shards, or math.MaxInt64 if no
+// source will ever inject again. The sim run loop uses it to
+// fast-forward over quiescent spans. It must be called after Step(now),
+// and it always answers now+1 on FullScan networks, whose sources never
+// park.
+func (n *Network) NextDue(now int64) int64 {
 	due := int64(math.MaxInt64)
 	for _, sh := range n.shards {
 		if sh.ejCur < len(sh.ejects) && sh.ejects[sh.ejCur].t < due {

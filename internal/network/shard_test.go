@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -10,12 +11,12 @@ import (
 	"routersim/internal/topology"
 )
 
-// TestShardedMatchesFullScan is the sharded engine's identity matrix:
-// every topology family × load regime × shard count × within-shard
-// worker count must reproduce the full-scan reference engine's exact
-// event trace — every packet creation, flit ejection, and completion at
-// the same cycle in the same order with the same packet IDs. Run under
-// -race in CI, this also certifies the window barriers.
+// TestShardedMatchesFullScan is the engine's identity matrix: every
+// topology family × load regime × shard count must reproduce the
+// full-scan oracle's exact event trace — every packet creation, flit
+// ejection, and completion at the same cycle in the same order with the
+// same packet IDs. Run under -race in CI, this also certifies the
+// window barriers.
 func TestShardedMatchesFullScan(t *testing.T) {
 	specs := []string{"mesh:k=4", "torus", "ring:12", "hypercube:16"}
 	loads := []float64{0.1, 0.4, 0.8}
@@ -41,15 +42,11 @@ func TestShardedMatchesFullScan(t *testing.T) {
 					t.Fatalf("load %.1f: no traffic in reference run", load)
 				}
 				for _, shards := range []int{1, 2, 4} {
-					for _, workers := range []int{0, 2} {
-						cfg := cfg
-						cfg.FullScan = false
-						cfg.Shards = shards
-						cfg.StepWorkers = workers
-						got := eventTrace(t, cfg, cycles)
-						label := fmt.Sprintf("load %.1f shards %d workers %d", load, shards, workers)
-						compareTraces(t, label, ref, got)
-					}
+					cfg := cfg
+					cfg.FullScan = false
+					cfg.Shards = shards
+					got := eventTrace(t, cfg, cycles)
+					compareTraces(t, fmt.Sprintf("load %.1f shards %d", load, shards), ref, got)
 				}
 			}
 		})
@@ -440,5 +437,90 @@ func hookTrace(net *Network, trace *[]string) {
 	}
 	net.OnPacketDone = func(p *flit.Packet, now int64) {
 		*trace = append(*trace, fmt.Sprintf("d %d %d %d", now, p.ID, p.Latency()))
+	}
+}
+
+// TestParallelStepperMatchesSerial: the parallel engine (two and four
+// shards stepping concurrently) must produce the one-shard engine's
+// exact event sequence — every packet creation, flit ejection, and
+// completion at the same cycle in the same order — for every router
+// kind. Run under -race in CI, this also certifies the shard gang.
+func TestParallelStepperMatchesSerial(t *testing.T) {
+	kinds := []router.Kind{
+		router.Wormhole, router.VirtualChannel, router.SpeculativeVC,
+		router.SingleCycleWormhole, router.SingleCycleVC,
+	}
+	cycles := simCycles(6000)
+	for _, kind := range kinds {
+		kind := kind
+		t.Run(kind.String(), func(t *testing.T) {
+			t.Parallel()
+			cfg := Config{K: 4, Router: router.DefaultConfig(kind), Seed: 11, InjectionRate: 0.5 * 1.0 / 5}
+			serial := eventTrace(t, cfg, cycles)
+			if len(serial) == 0 {
+				t.Fatal("no traffic in serial run")
+			}
+			for _, shards := range []int{2, 4} {
+				cfg := cfg
+				cfg.Shards = shards
+				compareTraces(t, fmt.Sprintf("%d shards", shards), serial, eventTrace(t, cfg, cycles))
+			}
+		})
+	}
+}
+
+// TestParallelStepperCrossTopology covers every topology family under
+// shard counts whose cuts miss the cube's hyperplanes (3) as well as
+// hit them (2), so both the slab partition and the refined graph
+// partition with its k-way replay merge must reproduce the one-shard
+// engine's exact event trace: the 2-D torus (dateline VC class
+// tables), a 3-D torus, a ring, and a hypercube. Run under -race in CI.
+func TestParallelStepperCrossTopology(t *testing.T) {
+	specs := []string{"torus", "torus:k=3,n=3", "ring:12", "hypercube:16"}
+	for _, spec := range specs {
+		spec := spec
+		t.Run(spec, func(t *testing.T) {
+			t.Parallel()
+			topo, err := topology.New(spec, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := Config{
+				Topo:          topo,
+				Router:        router.DefaultConfig(router.SpeculativeVC),
+				Seed:          5,
+				InjectionRate: 0.4 * topo.UniformCapacity() / 5,
+			}
+			cycles := simCycles(6000)
+			serial := eventTrace(t, cfg, cycles)
+			if len(serial) == 0 {
+				t.Fatal("no traffic")
+			}
+			for _, shards := range []int{2, 3} {
+				cfg := cfg
+				cfg.Shards = shards
+				compareTraces(t, fmt.Sprintf("%d shards", shards), serial, eventTrace(t, cfg, cycles))
+			}
+		})
+	}
+}
+
+// TestOneShardStartsNoGoroutines pins the inline one-shard path: a
+// network built with Shards 0 or 1 must step on the caller's goroutine
+// and start no workers, so Close stays optional for it.
+func TestOneShardStartsNoGoroutines(t *testing.T) {
+	for _, shards := range []int{0, 1} {
+		before := runtime.NumGoroutine()
+		net, err := New(Config{K: 4, Router: router.DefaultConfig(router.SpeculativeVC),
+			Seed: 3, InjectionRate: 0.4 * 1.0 / 5, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for now := int64(0); now < 300; now++ {
+			net.Step(now)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Fatalf("shards=%d: %d goroutines before New and 300 Steps, %d after", shards, before, after)
+		}
 	}
 }

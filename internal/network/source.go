@@ -20,9 +20,8 @@ type source struct {
 	node int
 	inj  traffic.Injector
 	rng  *rng.RNG
-	// sh is the owning shard on sharded networks (nil otherwise):
-	// packets then come from the shard-local pool and creation events
-	// are buffered for the serial barrier replay, which assigns the
+	// sh is the owning shard: packets come from its pool, and creation
+	// events are buffered for the serial replay, which assigns the
 	// global packet ID (see shard.go).
 	sh *shard
 
@@ -44,7 +43,7 @@ type source struct {
 	// tickedTo is the last cycle whose injector Tick has been applied;
 	// while parked it runs ahead of the simulation clock (the gap's
 	// ticks were consumed at park time, replaying the full-scan
-	// engine's exact accumulator sequence), and pendingAt holds the
+	// oracle's exact accumulator sequence), and pendingAt holds the
 	// cycle of the pre-consumed injection (-1 when none) with pendingN
 	// packets due there.
 	tickedTo  int64
@@ -188,16 +187,15 @@ func (s *source) step(now int64) {
 		f := st.flits[st.next]
 		f.VC = int8(vc)
 		s.flitOut.Push(now, f)
-		s.net.wakeRouter(int32(s.node))
+		// The injection channel has the node's link delay, and the
+		// source and its router share a shard.
+		sc := s.sh.sc
+		sc.wake(int32(s.node), sc.delay[s.node])
 		s.credits[vc]--
 		// Flit-conservation census (audit.go): count at the push, the
-		// moment the flit enters the network's wires. Sharded sources
-		// count on their own shard to keep the increment race-free.
-		if sh := s.sh; sh != nil {
-			sh.injected++
-		} else {
-			s.net.auditInjected++
-		}
+		// moment the flit enters the network's wires, on the source's
+		// own shard to keep the increment race-free.
+		s.sh.injected++
 		st.next++
 		if st.next == len(st.flits) {
 			s.busy[vc] = false
@@ -229,10 +227,11 @@ func (s *source) park() int64 {
 	return s.pendingAt
 }
 
-// generate creates one packet (from the network's pool) and appends it
-// to the source queue. Trace replay dictates the destination and size;
-// live workloads draw the destination from the pattern and, when a size
-// distribution is configured, the size from the source's RNG stream.
+// generate creates one packet (from the shard's pool), buffers its
+// creation for the replay, and appends it to the source queue. Trace
+// replay dictates the destination and size; live workloads draw the
+// destination from the pattern and, when a size distribution is
+// configured, the size from the source's RNG stream.
 func (s *source) generate(now int64) {
 	var dst, size int
 	if s.draw != nil {
@@ -245,25 +244,18 @@ func (s *source) generate(now int64) {
 			size = s.net.cfg.PacketSize
 		}
 	}
-	if sh := s.sh; sh != nil {
-		p := sh.allocPacket()
-		p.Src = s.node
-		p.Dst = dst
-		p.Size = size
-		p.CreatedAt = now
-		sh.creates = append(sh.creates, createEvent{t: now, p: p})
-		s.pushQueue(p)
-		return
+	sh := s.sh
+	var p *flit.Packet
+	if k := len(sh.pktFree); k > 0 {
+		p = sh.pktFree[k-1]
+		sh.pktFree = sh.pktFree[:k-1]
+	} else {
+		p = &flit.Packet{}
 	}
-	p := s.net.allocPacket()
-	p.ID = s.net.nextPacketID
 	p.Src = s.node
 	p.Dst = dst
 	p.Size = size
 	p.CreatedAt = now
-	s.net.nextPacketID++
-	if cb := s.net.OnPacketCreated; cb != nil {
-		cb(p, now)
-	}
+	sh.creates = append(sh.creates, createEvent{t: now, p: p})
 	s.pushQueue(p)
 }

@@ -22,9 +22,9 @@ func mustTopo(t *testing.T, spec string) topology.Topology {
 	return topo
 }
 
-// engineVariants runs cfg under every engine combination (full-scan
-// serial is the reference; active serial, active parallel, full-scan
-// parallel must match it event for event).
+// engineVariants runs cfg on the full-scan oracle (the reference) and
+// on the active-set engine at one and two shards, which must match it
+// event for event.
 func engineVariants(t *testing.T, label string, cfg Config, cycles int64) []string {
 	t.Helper()
 	ref := cfg
@@ -33,21 +33,10 @@ func engineVariants(t *testing.T, label string, cfg Config, cycles int64) []stri
 	if len(refTrace) == 0 {
 		t.Fatalf("%s: no traffic in reference run", label)
 	}
-	variants := []struct {
-		name     string
-		fullScan bool
-		workers  int
-	}{
-		{"active-serial", false, 0},
-		{"active-parallel2", false, 2},
-		{"active-parallel5", false, 5},
-		{"fullscan-parallel2", true, 2},
-	}
-	for _, v := range variants {
+	for _, shards := range []int{1, 2} {
 		c := cfg
-		c.FullScan = v.fullScan
-		c.StepWorkers = v.workers
-		compareTraces(t, label+"/"+v.name, refTrace, eventTrace(t, c, cycles))
+		c.Shards = shards
+		compareTraces(t, fmt.Sprintf("%s/shards=%d", label, shards), refTrace, eventTrace(t, c, cycles))
 	}
 	return refTrace
 }
@@ -55,7 +44,7 @@ func engineVariants(t *testing.T, label string, cfg Config, cycles int64) []stri
 // TestWorkloadIdentity is the identity gate for the new workload axes:
 // bursty sources, size distributions, and per-router overrides must
 // produce the full-scan reference engine's exact event sequence on the
-// active-set scheduler, serial or parallel. The MMPP/batch cases
+// active-set engine at one and two shards. The MMPP/batch cases
 // specifically certify parked multi-packet wakes; the override cases
 // certify the generalized wake wheel (per-router link delays) and the
 // heterogeneous credit sizing.
@@ -200,15 +189,15 @@ func TestTraceRecordReplayIdentity(t *testing.T) {
 	for _, v := range []struct {
 		name     string
 		fullScan bool
-		workers  int
+		shards   int
 	}{
-		{"fullscan-serial", true, 0},
-		{"active-serial", false, 0},
-		{"active-parallel4", false, 4},
+		{"fullscan", true, 0},
+		{"shards=1", false, 1},
+		{"shards=4", false, 4},
 	} {
 		c := replayCfg
 		c.FullScan = v.fullScan
-		c.StepWorkers = v.workers
+		c.Shards = v.shards
 		compareTraces(t, "replay/"+v.name, original, eventTrace(t, c, cycles))
 	}
 }

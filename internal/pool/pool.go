@@ -49,12 +49,13 @@ func Run(n, workers int, fn func(i int)) {
 }
 
 // Gang is a persistent pool of workers for running many small parallel
-// phases without per-phase goroutine spawning — the engine under the
-// network's parallel stepper, which dispatches two phases per simulated
-// cycle. Jobs are claimed from a shared atomic counter, so which worker
-// runs which index is scheduling-dependent; callers must make fn(i)
-// write only state owned by index i, which is exactly the discipline
-// that keeps the stepper deterministic.
+// phases without per-phase goroutine spawning. The network uses it only
+// to dispatch the shards of a multi-shard network, one phase per
+// barrier round; a one-shard network steps inline and starts no gang.
+// Jobs are claimed from a shared atomic counter, so which worker runs
+// which index is scheduling-dependent; callers must make fn(i) write
+// only state owned by index i, which is exactly the discipline that
+// keeps the sharded engine deterministic.
 type Gang struct {
 	workers int
 	work    chan gangPhase

@@ -141,6 +141,10 @@ func DefaultConfig(k Kind) Config {
 	return cfg
 }
 
+// maxVCAllocBidders is the matrix arbiter's 64-requester limit, which
+// caps the p·v bidders of the VC allocator's second stage.
+const maxVCAllocBidders = 64
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.Ports < 2 || c.Ports > 64 {
@@ -152,6 +156,12 @@ func (c Config) Validate() error {
 	}
 	if !c.Kind.UsesVCs() && c.VCs != 1 {
 		return fmt.Errorf("router: %v router must have exactly 1 VC, got %d", c.Kind, c.VCs)
+	}
+	if c.Ports*c.VCs > maxVCAllocBidders {
+		// Each output VC's second-stage VC-allocator arbiter chooses
+		// among every input VC of the router.
+		return fmt.Errorf("router: %d ports × %d VCs = %d input VCs; the VC allocator arbitrates over at most %d",
+			c.Ports, c.VCs, c.Ports*c.VCs, maxVCAllocBidders)
 	}
 	if c.BufPerVC < 1 {
 		return fmt.Errorf("router: %d buffers per VC; need at least 1", c.BufPerVC)

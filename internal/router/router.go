@@ -430,10 +430,10 @@ func (r *Router) syncOcc(port, c int) {
 	}
 }
 
-// ComputeIdle reports whether the Compute phase would be a no-op: no
-// occupied input VCs and no latched grants. Unlike Idle it reads only
-// router-local state, so it is safe to call while other routers are
-// concurrently pushing onto this router's input wires.
+// ComputeIdle reports whether the router has no router-local work
+// left: no occupied input VCs and no latched grants. Unlike Idle it
+// ignores the wires; the scheduler carries a router that is not
+// ComputeIdle to the next cycle.
 func (r *Router) ComputeIdle() bool {
 	return r.occPorts == 0 && len(r.pending) == 0 && len(r.next) == 0
 }
@@ -479,18 +479,10 @@ func (r *Router) NextArrival() int64 {
 // Step advances the router one cycle: deliver arrivals, execute latched
 // switch traversals, then run routing and allocation. All inter-router
 // communication crosses wires with >= 1 cycle delay, so routers may step
-// in any order within a cycle — or concurrently, split into the Deliver
-// and Compute phases (see the network's parallel stepper).
+// in any order within a cycle.
 func (r *Router) Step(now int64) {
-	r.Deliver(now)
-	r.Compute(now)
-}
-
-// Deliver pops arriving flits into input FIFOs and moves credits through
-// the credit-processing pipeline into the counters. It only consumes
-// from the router's input wires and touches router-local state, so all
-// routers' Deliver phases may run concurrently.
-func (r *Router) Deliver(now int64) {
+	// Deliver: pop arriving flits into input FIFOs and move credits
+	// through the credit-processing pipeline into the counters.
 	for port := range r.in {
 		ip := &r.in[port]
 		if ip.flitIn == nil {
@@ -510,15 +502,10 @@ func (r *Router) Deliver(now int64) {
 			op.credits[c.VC]++
 		}
 	}
-}
 
-// Compute executes last cycle's latched traversals and this cycle's
-// routing and allocation stages. It only pushes onto the router's
-// output wires and touches router-local state, so all routers' Compute
-// phases may run concurrently (after every Deliver has finished).
-func (r *Router) Compute(now int64) {
+	// Compute: last cycle's latched traversals, then this cycle's
+	// routing and allocation stages.
 	r.pending, r.next = r.next, r.pending[:0]
-
 	switch r.cfg.Kind {
 	case Wormhole:
 		r.traverseWormholeGrants(now)

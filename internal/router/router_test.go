@@ -373,6 +373,7 @@ func TestConfigValidation(t *testing.T) {
 		{Kind: VirtualChannel, Ports: 5, VCs: 0, BufPerVC: 4},
 		{Kind: VirtualChannel, Ports: 5, VCs: 2, BufPerVC: 0},
 		{Kind: VirtualChannel, Ports: 5, VCs: 2, BufPerVC: 4, CreditProcess: -2},
+		{Kind: SpeculativeVC, Ports: 5, VCs: 13, BufPerVC: 4}, // 65 VC-allocator bidders
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

@@ -2,9 +2,9 @@
 // of every packet injection in a run (cycle, source, destination, size,
 // flow id), writable as canonical binary or JSONL and replayable as a
 // traffic source. Because the simulator is deterministic, a recorded
-// trace replayed through any engine variant (full-scan or active-set,
-// serial or parallel) reproduces the original workload byte-identically,
-// which makes any captured workload a permanent regression fixture.
+// trace replayed at any shard count (or on the full-scan oracle)
+// reproduces the original workload byte-identically, which makes any
+// captured workload a permanent regression fixture.
 //
 // # Format versioning
 //
@@ -108,9 +108,9 @@ func (t *Trace) MeanSize() float64 {
 	return float64(sum) / float64(len(t.Events))
 }
 
-// Recorder captures injections during a run. The simulator steps
-// sources serially in every engine variant, so Record needs no locking
-// and events arrive already in canonical order; Trace sorts defensively
+// Recorder captures injections during a run. The network replays
+// packet creations serially, in node order, at every shard count, so
+// Record needs no locking and events arrive already in canonical order; Trace sorts defensively
 // anyway so a recorder fed out of order still yields a valid trace.
 type Recorder struct {
 	nodes  int

@@ -15,7 +15,7 @@ import (
 // AdvanceToInjection can jump from event to event executing exactly the
 // draws per-cycle Tick would, so the active-set scheduler skips the
 // idle gaps while the injection schedule (and the RNG stream) stays
-// bit-identical to the full-scan engine's.
+// bit-identical to the full-scan oracle's.
 
 // geometric samples a geometric dwell: the number of cycles (>= 1)
 // until the first success of a per-cycle Bernoulli(p) trial, by

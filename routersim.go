@@ -288,22 +288,12 @@ type SimConfig struct {
 	// "rand:links=2,seed=9@cycle=500". Empty means no faults.
 	Faults string
 
-	// StepWorkers selects the deterministic parallel network stepper
-	// (0 or 1 = serial engine; > 1 = that many workers). Results are
-	// byte-identical for every value; see PERF.md.
-	StepWorkers int
-
-	// Shards selects the lookahead-sharded engine (0 or 1 = single
-	// range; > 1 = that many shards stepping windows concurrently
-	// between boundary barriers). Results are byte-identical for every
-	// value, and Shards composes with StepWorkers; see PERF.md.
+	// Shards is the cycle engine's one execution choice: 0 or 1 steps
+	// the network as one shard on the calling goroutine; > 1 splits it
+	// into that many shards stepping windows concurrently between
+	// boundary barriers. Results are byte-identical for every value;
+	// see PERF.md.
 	Shards int
-
-	// FullScan selects the legacy cycle engine that visits every router
-	// and source each cycle instead of the active-set scheduler.
-	// Results are byte-identical; it exists as the reference engine for
-	// identity tests and as the benchmark baseline (see PERF.md).
-	FullScan bool
 
 	// Measurement protocol.
 	WarmupCycles   int64 // paper: 10,000
@@ -313,7 +303,7 @@ type SimConfig struct {
 	// Audit, when > 0, enables the engine's invariant auditor at that
 	// cycle interval: flit conservation, per-wire credit conservation,
 	// and buffer-occupancy bounds are checked across the whole network
-	// every Audit cycles, on every engine variant. A violation panics
+	// every Audit cycles, at every shard count. A violation panics
 	// with a diagnostic snapshot. Results are byte-identical with
 	// auditing on or off.
 	Audit int
@@ -389,9 +379,7 @@ func (c SimConfig) lower() (sim.Config, error) {
 		PacketSize:  size,
 		Pattern:     c.Pattern,
 		CreditDelay: c.CreditDelay,
-		StepWorkers: c.StepWorkers,
 		Shards:      c.Shards,
-		FullScan:    c.FullScan,
 		Routing:     c.Routing,
 		Faults:      c.Faults,
 		Seed:        c.Seed,
